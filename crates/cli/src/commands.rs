@@ -101,8 +101,9 @@ SERVE: long-running bounded-memory scheduling over a JSONL job stream.
                       uninterrupted run's digest and metrics byte-for-byte
 
 CRASH SAFETY (serve --data-dir): journaled, crash-only operation.
-  Accepted jobs are appended to a CRC32-framed write-ahead journal (fsynced
-  before they are acknowledged); quiescent idle gaps trigger automatic
+  Accepted jobs are appended to a CRC32-framed write-ahead journal, which is
+  fsynced once per read batch before any of the batch's lines is
+  acknowledged (commit-before-ack); quiescent idle gaps trigger automatic
   snapshots that truncate the journal. On startup the newest valid snapshot
   is loaded (torn tails tolerated) and the journal suffix is replayed, so a
   killed process recovers digest-identically to a never-crashed run.
@@ -111,7 +112,7 @@ CRASH SAFETY (serve --data-dir): journaled, crash-only operation.
   --snapshot-every-jobs N   snapshot after N journaled records (default 256,
                             0 = only at EOF); quiescent moments only
   --snapshot-every-secs S   also snapshot after S simulated seconds (0 = off)
-  --no-fsync                skip fsync on journal appends (faster, weaker)
+  --no-fsync                skip the journal fsync at each commit (faster, weaker)
 
 ADMISSION CONTROL (serve): typed rejections, never a process exit.
   Rejected lines get {\"status\":\"rejected\",\"line\":N,\"reason\":R,...} on the

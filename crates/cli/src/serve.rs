@@ -10,8 +10,12 @@
 //! # Crash safety (`--data-dir`)
 //!
 //! With `--data-dir DIR` the session is crash-only. Every accepted job is
-//! appended (and fsynced, unless `--no-fsync`) to a CRC32-framed
-//! write-ahead journal *before* it is acknowledged; quiescent moments
+//! appended to a CRC32-framed write-ahead journal, and the journal is
+//! committed (fsynced, unless `--no-fsync`) *before* the job is
+//! acknowledged. Lines are handled in read batches: a batch ends when the
+//! reader holds no further complete line, one commit then covers every
+//! record the batch appended, and only after it do the batch's responses
+//! leave, in line order and in one socket write. Quiescent moments
 //! trigger automatic snapshots (`--snapshot-every-jobs` /
 //! `--snapshot-every-secs`) that truncate the journal past their
 //! watermark. On startup the newest valid snapshot is loaded (torn tails
@@ -39,7 +43,7 @@
 //! byte — that equivalence is this mode's correctness contract (and the
 //! CI `serve-smoke` check).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Map, Serialize, Value};
@@ -260,9 +264,14 @@ fn restore_err(origin: &str) -> impl Fn(SimError) -> CliError + '_ {
     }
 }
 
+/// Buffered line source. A concrete `BufReader` (not `dyn BufRead`) so the
+/// loop can see whether a further complete line is already buffered,
+/// which is where a batch ends.
+type LineReader = BufReader<Box<dyn Read>>;
+
 /// The line source: stdin, a file, or one accepted TCP connection (whose
 /// write half, when available, carries the per-line JSON responses).
-fn open_input(args: &Args) -> Result<(Box<dyn BufRead>, Option<std::net::TcpStream>), CliError> {
+fn open_input(args: &Args) -> Result<(LineReader, Option<std::net::TcpStream>), CliError> {
     if let Some(addr) = args.get("listen") {
         let listener = std::net::TcpListener::bind(addr).map_err(io_err)?;
         // One connection per process: the client streams JSONL and closes;
@@ -270,16 +279,18 @@ fn open_input(args: &Args) -> Result<(Box<dyn BufRead>, Option<std::net::TcpStre
         // supervisor restarting the binary with `--data-dir` gives the
         // continuous-service loop.
         let (conn, _peer) = listener.accept().map_err(io_err)?;
+        // Each batch of responses goes out in one write; Nagle would hold
+        // it back until the client's next segment acknowledges the last.
+        // Failing to set the option costs latency only.
+        let _ = conn.set_nodelay(true);
         let responses = conn.try_clone().ok();
-        return Ok((Box::new(std::io::BufReader::new(conn)), responses));
+        return Ok((BufReader::new(Box::new(conn)), responses));
     }
-    match args.get_or("input", "-") {
-        "-" => Ok((Box::new(std::io::BufReader::new(std::io::stdin())), None)),
-        path => {
-            let file = std::fs::File::open(path).map_err(io_err)?;
-            Ok((Box::new(std::io::BufReader::new(file)), None))
-        }
-    }
+    let source: Box<dyn Read> = match args.get_or("input", "-") {
+        "-" => Box::new(std::io::stdin()),
+        path => Box::new(std::fs::File::open(path).map_err(io_err)?),
+    };
+    Ok((BufReader::new(source), None))
 }
 
 /// Typed rejection reasons echoed on the wire and counted per-reason.
@@ -318,18 +329,41 @@ fn reject_reason(e: &SimError) -> Option<RejectReason> {
 }
 
 /// Per-line JSON responses on the TCP write half (no-op for file/stdin
-/// input). Write failures are ignored: a vanished client must not take
-/// the session down.
-struct Responder {
-    conn: Option<std::net::TcpStream>,
+/// input). Responses are queued, each with its newline, and a whole batch
+/// leaves in one `write_all` once its journal commit is done. Write
+/// failures are ignored: a vanished client must not take the session down.
+struct Responder<W: Write> {
+    conn: Option<W>,
+    pending: Vec<u8>,
 }
 
-impl Responder {
-    fn send(&mut self, m: Map) {
-        let Some(conn) = &mut self.conn else { return };
-        if let Ok(text) = serde_json::to_string(&Value::Object(m)) {
-            let _ = writeln!(conn, "{text}");
+impl<W: Write> Responder<W> {
+    fn new(conn: Option<W>) -> Self {
+        Self {
+            conn,
+            pending: Vec::new(),
         }
+    }
+
+    fn send(&mut self, m: Map) {
+        if self.conn.is_none() {
+            return;
+        }
+        if let Ok(text) = serde_json::to_string(&Value::Object(m)) {
+            self.pending.extend_from_slice(text.as_bytes());
+            self.pending.push(b'\n');
+        }
+    }
+
+    /// Puts every queued response on the wire in one write. Call only
+    /// after the journal commit that covers the batch.
+    fn send_batch(&mut self) {
+        if let Some(conn) = &mut self.conn {
+            if !self.pending.is_empty() {
+                let _ = conn.write_all(&self.pending);
+            }
+        }
+        self.pending.clear();
     }
 
     fn accepted(&mut self, line_no: u64, id: u64, seq: Option<u64>) {
@@ -483,11 +517,18 @@ struct Durable {
 }
 
 impl Durable {
+    /// Journals one record without syncing it; the next
+    /// [`Durable::commit`] makes it durable.
     fn append(&mut self, record: WalRecord) -> Result<u64, CliError> {
-        let seq = self.wal.append(record).map_err(wal_err)?;
+        let seq = self.wal.append_unsynced(record).map_err(wal_err)?;
         self.records_since_snap += 1;
         self.metrics.publish(&self.wal, self.truncated_total);
         Ok(seq)
+    }
+
+    /// Makes every record appended so far durable (one fsync at most).
+    fn commit(&mut self) -> Result<(), CliError> {
+        self.wal.commit().map_err(wal_err)
     }
 
     /// Whether the auto-snapshot policy wants a snapshot *now* (the caller
@@ -554,7 +595,7 @@ fn reject(
     quarantine_raw: Option<&str>,
     wire: &mut WireStats,
     wire_metrics: &WireMetrics,
-    responder: &mut Responder,
+    responder: &mut Responder<impl Write>,
     quarantine: &mut Quarantine,
 ) {
     match reason {
@@ -576,7 +617,8 @@ fn reject(
     responder.rejected(line_no, id, reason, detail);
 }
 
-/// Processes one complete input line: parse, admit, journal, submit, ack.
+/// Processes one complete input line: parse, admit, journal, submit, and
+/// queue the ack (sent by [`end_batch`] after the journal commit).
 /// Malformed lines and admission rejections are absorbed (counted,
 /// quarantined, echoed); only internal failures are fatal.
 #[allow(clippy::too_many_arguments)]
@@ -588,7 +630,7 @@ fn handle_line(
     durable: &mut Option<Durable>,
     wire: &mut WireStats,
     wire_metrics: &WireMetrics,
-    responder: &mut Responder,
+    responder: &mut Responder<impl Write>,
     quarantine: &mut Quarantine,
 ) -> Result<(), CliError> {
     let text = match std::str::from_utf8(raw) {
@@ -663,8 +705,8 @@ fn handle_line(
             if d.snapshot_due(session.now()) && session.is_quiescent() {
                 d.take_snapshot(session, sched, wire)?;
             }
-            // Journal (and fsync) before submitting: the ack below is only
-            // sent once the job is durable.
+            // Journal before submitting; the ack queued below leaves only
+            // after the batch's commit has made this record durable.
             Some(d.append(WalRecord::Job(spec.clone()))?)
         }
         None => None,
@@ -675,6 +717,19 @@ fn handle_line(
     wire.accepted += 1;
     wire_metrics.publish(wire);
     responder.accepted(line_no, id, seq);
+    Ok(())
+}
+
+/// Ends a read batch: one journal commit makes every record the batch
+/// appended durable, and only then do its queued responses leave.
+fn end_batch(
+    durable: &mut Option<Durable>,
+    responder: &mut Responder<impl Write>,
+) -> Result<(), CliError> {
+    if let Some(d) = durable {
+        d.commit()?;
+    }
+    responder.send_batch();
     Ok(())
 }
 
@@ -793,7 +848,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     let (mut reader, conn) = open_input(args)?;
     let is_tcp = conn.is_some();
-    let mut responder = Responder { conn };
+    let mut responder = Responder::new(conn);
     let quarantine_path = match args.get("quarantine") {
         Some(p) => Some(PathBuf::from(p)),
         None => durable.as_ref().map(|d| d.data.quarantine_path()),
@@ -806,7 +861,10 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     // Byte-level read loop: `read_until` instead of `lines()` so a torn
     // final line (mid-line EOF on a dropped connection) is detectable and
-    // a read error on TCP degrades to a warning instead of an exit.
+    // a read error on TCP degrades to a warning instead of an exit. A
+    // batch ends when no further complete line is buffered; the reader
+    // only blocks, hits EOF or fails after such a boundary, so every
+    // processed line is committed and answered before the loop exits.
     let mut line_no = 0u64;
     let mut buf: Vec<u8> = Vec::new();
     let warning = loop {
@@ -837,6 +895,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
                     &mut responder,
                     &mut quarantine,
                 )?;
+                if !reader.buffer().contains(&b'\n') {
+                    end_batch(&mut durable, &mut responder)?;
+                }
             }
             Err(e) => {
                 if is_tcp {
@@ -860,6 +921,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     session.drain(f64::INFINITY, &mut sched).map_err(sim_err)?;
     if let Some(d) = &mut durable {
         d.append(WalRecord::Clock { now: session.now() })?;
+        d.commit()?;
         d.take_snapshot(&session, &sched, &wire)?;
     }
 
@@ -1325,6 +1387,121 @@ mod tests {
         assert_eq!(spec.attributes.get("user"), Some("alice"));
     }
 
+    /// Connects to a `--listen` server started on another thread,
+    /// retrying until it is accepting.
+    fn connect_when_listening(addr: &str) -> std::net::TcpStream {
+        for _ in 0..200 {
+            match std::net::TcpStream::connect(addr) {
+                Ok(c) => return c,
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+            }
+        }
+        panic!("server did not start listening on {addr}");
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn responder_sends_a_whole_batch_in_one_write_with_newlines() {
+        let mut responder = Responder::new(Some(CountingWriter::default()));
+        responder.accepted(1, 10, Some(1));
+        responder.rejected(2, Some(10), RejectReason::Duplicate, "dup");
+        responder.accepted(3, 11, None);
+        fn sink(r: &Responder<CountingWriter>) -> &CountingWriter {
+            r.conn.as_ref().unwrap()
+        }
+        assert_eq!(
+            sink(&responder).writes,
+            0,
+            "nothing leaves before the batch ends"
+        );
+        responder.send_batch();
+        // One write carries every response with its newline: an ack split
+        // from its newline would be a second segment that Nagle holds back.
+        assert_eq!(sink(&responder).writes, 1);
+        let text = String::from_utf8(sink(&responder).bytes.clone()).unwrap();
+        assert!(text.ends_with('\n'), "{text}");
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(
+            lines
+                .iter()
+                .map(|v| v.get("line").and_then(Value::as_u64))
+                .collect::<Vec<_>>(),
+            vec![Some(1), Some(2), Some(3)]
+        );
+        responder.send_batch();
+        assert_eq!(sink(&responder).writes, 1, "an empty batch writes nothing");
+        // Without a connection nothing is queued at all.
+        let mut silent: Responder<CountingWriter> = Responder::new(None);
+        silent.accepted(1, 1, None);
+        assert!(silent.pending.is_empty());
+    }
+
+    #[test]
+    fn tcp_burst_in_one_write_gets_one_response_per_line_in_order() {
+        use std::io::Read;
+        let dir = tmpdir("tcp_burst");
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap().to_string();
+        drop(probe);
+        let server = {
+            let (addr, dir) = (addr.clone(), dir.to_str().unwrap().to_owned());
+            std::thread::spawn(move || serve(&["--listen", &addr, "--data-dir", &dir]).unwrap())
+        };
+        let mut conn = connect_when_listening(&addr);
+        let burst =
+            "{\"id\":1,\"tenant\":\"t\",\"submit_time\":0.0,\"tasks\":1,\"duration\":400.0}\n\
+            {\"id\":1,\"tenant\":\"t\",\"submit_time\":1.0,\"tasks\":1,\"duration\":400.0}\n\
+            not json\n\
+            {\"id\":2,\"tenant\":\"u\",\"submit_time\":2.0,\"tasks\":2,\"duration\":50.0}\n\
+            {\"id\":3,\"tenant\":\"u\",\"submit_time\":3.0,\"tasks\":0,\"duration\":50.0}\n";
+        conn.write_all(burst.as_bytes()).unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut responses = String::new();
+        conn.read_to_string(&mut responses).unwrap();
+        let out = server.join().unwrap();
+        assert!(out.contains("submitted=2"), "{out}");
+        assert!(responses.ends_with('\n'), "{responses}");
+        let got: Vec<String> = responses
+            .lines()
+            .map(|l| {
+                let v: Value = serde_json::from_str(l).expect("one complete JSON object per line");
+                let field = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_owned();
+                let line = v.get("line").and_then(Value::as_u64).unwrap();
+                format!("{line} {} {}", field("status"), field("reason"))
+            })
+            .collect();
+        let want = [
+            "1 accepted ",
+            "2 rejected duplicate",
+            "3 rejected malformed",
+            "4 accepted ",
+            "5 rejected malformed",
+        ];
+        assert_eq!(got, want, "{responses}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn serve_accepts_one_tcp_connection_and_echoes_typed_responses() {
         use std::io::Read;
@@ -1337,18 +1514,7 @@ mod tests {
             let addr = addr.clone();
             std::thread::spawn(move || serve(&["--listen", &addr]).unwrap())
         };
-        // Retry until the server thread is accepting.
-        let mut conn = None;
-        for _ in 0..200 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-            }
-        }
-        let mut conn = conn.expect("server did not start listening");
+        let mut conn = connect_when_listening(&addr);
         conn.write_all(part1().as_bytes()).unwrap();
         // Kill the client mid-line: the torn tail must be discarded, the
         // six complete jobs processed, and the session must still produce
@@ -1380,17 +1546,7 @@ mod tests {
             let addr = addr.clone();
             std::thread::spawn(move || serve(&["--listen", &addr, "--max-queue", "1"]).unwrap())
         };
-        let mut conn = None;
-        for _ in 0..200 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-            }
-        }
-        let mut conn = conn.expect("server did not start listening");
+        let mut conn = connect_when_listening(&addr);
         let lines = "not json\n\
             {\"id\":1,\"tenant\":\"t\",\"submit_time\":0.0,\"tasks\":1,\"duration\":400.0}\n\
             {\"id\":2,\"tenant\":\"t\",\"submit_time\":1.0,\"tasks\":1,\"duration\":400.0}\n";

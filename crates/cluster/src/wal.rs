@@ -39,6 +39,16 @@
 //! replayed twice. `wal_truncated_bytes` is carried in the snapshot —
 //! counted at snapshot-write time — so the lifetime truncation total is
 //! itself crash-consistent.
+//!
+//! # Group commit
+//!
+//! [`Wal::append_unsynced`] writes a frame without syncing it;
+//! [`Wal::commit`] then makes every frame written since the last commit
+//! durable with one `sync_data`. [`Wal::append`] is the two in one call,
+//! durable when it returns. A caller that acknowledges records must do so
+//! only after the commit that covers them: a crash may or may not keep an
+//! uncommitted frame, and [`Wal::committed_len`] is the journal length
+//! that is certain to survive.
 
 use std::fs;
 use std::io::Write;
@@ -340,13 +350,15 @@ pub struct Wal {
     next_seq: u64,
     sync: bool,
     len: u64,
+    committed_len: u64,
+    syncs: u64,
 }
 
 impl Wal {
     /// Opens (creating if absent) the journal at `path`, repairing any
-    /// torn tail by truncating to the last good frame. With `sync`,
-    /// every append is fsynced before returning — the ack-after-journal
-    /// barrier.
+    /// torn tail by truncating to the last good frame. With `sync`, every
+    /// [`Wal::commit`] fsyncs the journal — the commit-before-ack
+    /// barrier; without it, commits only advance [`Wal::committed_len`].
     ///
     /// # Errors
     ///
@@ -382,8 +394,10 @@ impl Wal {
             file.set_len(valid_len)
                 .map_err(|e| io_err(path, "truncate", &e))?;
         }
+        let mut syncs = 0;
         if sync && (torn_bytes > 0 || valid_len == 0) {
             file.sync_data().map_err(|e| io_err(path, "sync", &e))?;
+            syncs += 1;
         }
         use std::io::Seek;
         file.seek(std::io::SeekFrom::End(0))
@@ -396,6 +410,8 @@ impl Wal {
                 next_seq,
                 sync,
                 len,
+                committed_len: len,
+                syncs,
             },
             WalRecovery {
                 entries: decode.entries,
@@ -428,28 +444,70 @@ impl Wal {
         self.len
     }
 
-    /// Appends one record, returning its sequence number. With `sync`
-    /// enabled the record is durable when this returns — only then may
-    /// the caller acknowledge it.
+    /// Length the journal is certain to keep through a crash: the file
+    /// length at the last [`Wal::commit`] (or open, or truncation).
+    pub fn committed_len(&self) -> u64 {
+        self.committed_len
+    }
+
+    /// Journal `sync_data` calls this handle has issued since it was
+    /// opened. Process-local, so it is never published as a metric.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Appends one record and commits it, returning its sequence number.
+    /// With `sync` enabled the record is durable when this returns — only
+    /// then may the caller acknowledge it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::append_unsynced`] and [`Wal::commit`].
+    pub fn append(&mut self, record: WalRecord) -> Result<u64, WalError> {
+        let seq = self.append_unsynced(record)?;
+        self.commit()?;
+        Ok(seq)
+    }
+
+    /// Writes one record without syncing it, returning its sequence
+    /// number. The record is durable only after the next [`Wal::commit`];
+    /// a crash before that may or may not keep it, so it must not be
+    /// acknowledged yet.
     ///
     /// # Errors
     ///
     /// [`WalError::Io`] / [`WalError::Codec`]; the journal is unchanged
     /// logically (a torn partial write is repaired on next open).
-    pub fn append(&mut self, record: WalRecord) -> Result<u64, WalError> {
+    pub fn append_unsynced(&mut self, record: WalRecord) -> Result<u64, WalError> {
         let seq = self.next_seq;
         let frame = encode_frame(&WalEntry { seq, record })?;
         self.file
             .write_all(&frame)
             .map_err(|e| io_err(&self.path, "append", &e))?;
+        self.next_seq += 1;
+        self.len += frame.len() as u64;
+        Ok(seq)
+    }
+
+    /// Makes every record appended since the last commit durable with one
+    /// `sync_data` (none without `sync`). A journal with nothing new to
+    /// commit issues no sync.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`] if the sync fails; the records stay uncommitted.
+    pub fn commit(&mut self) -> Result<(), WalError> {
+        if self.committed_len == self.len {
+            return Ok(());
+        }
         if self.sync {
             self.file
                 .sync_data()
                 .map_err(|e| io_err(&self.path, "sync", &e))?;
+            self.syncs += 1;
         }
-        self.next_seq += 1;
-        self.len += frame.len() as u64;
-        Ok(seq)
+        self.committed_len = self.len;
+        Ok(())
     }
 
     /// Drops every record with `seq <= watermark` by atomically rewriting
@@ -479,6 +537,7 @@ impl Wal {
             f.write_all(&fresh).map_err(|e| io_err(&tmp, "write", &e))?;
             if self.sync {
                 f.sync_data().map_err(|e| io_err(&tmp, "sync", &e))?;
+                self.syncs += 1;
             }
         }
         fs::rename(&tmp, &self.path).map_err(|e| io_err(&self.path, "rename", &e))?;
@@ -491,6 +550,9 @@ impl Wal {
             .map_err(|e| io_err(&self.path, "seek", &e))?;
         self.file = file;
         self.len = fresh.len() as u64;
+        // The rewrite carries every record past the watermark, synced
+        // above, so nothing is left uncommitted.
+        self.committed_len = self.len;
         Ok(dropped)
     }
 }
@@ -800,6 +862,80 @@ mod tests {
         assert_eq!(rec.entries[0].seq, 1);
         assert_eq!(rec.entries[2].record, WalRecord::Clock { now: 42.0 });
         assert_eq!(wal.next_seq(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batched_commit_writes_the_same_bytes_as_append() {
+        let dir = tmpdir("grouped");
+        let (single, grouped) = (dir.join("single.wal"), dir.join("grouped.wal"));
+        let (mut a, _) = Wal::open(&single, true).unwrap();
+        let (mut b, _) = Wal::open(&grouped, true).unwrap();
+        for i in 1..=5u64 {
+            assert_eq!(a.append(job(i, i as f64)).unwrap(), i);
+            assert_eq!(b.append_unsynced(job(i, i as f64)).unwrap(), i);
+            if i % 2 == 0 {
+                b.commit().unwrap();
+            }
+        }
+        b.commit().unwrap();
+        assert_eq!(a.committed_len(), a.len_bytes());
+        assert_eq!(b.committed_len(), b.len_bytes());
+        drop((a, b));
+        assert_eq!(fs::read(&single).unwrap(), fs::read(&grouped).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_syncs_once_per_batch_and_never_when_clean() {
+        let dir = tmpdir("syncs");
+        let (mut wal, _) = Wal::open(&dir.join("journal.wal"), true).unwrap();
+        // Creating the file synced its header.
+        assert_eq!(wal.syncs(), 1);
+        wal.commit().unwrap();
+        assert_eq!(wal.syncs(), 1, "a clean journal must not sync");
+        for i in 1..=3u64 {
+            wal.append_unsynced(job(i, i as f64)).unwrap();
+        }
+        assert_eq!(wal.syncs(), 1, "unsynced appends must not sync");
+        wal.commit().unwrap();
+        wal.commit().unwrap();
+        assert_eq!(wal.syncs(), 2, "one sync for the batch, none after");
+        wal.append(job(4, 4.0)).unwrap();
+        assert_eq!(wal.syncs(), 3);
+        // Without `sync`, commits advance the committed length only.
+        let (mut quiet, _) = Wal::open(&dir.join("quiet.wal"), false).unwrap();
+        quiet.append(job(1, 0.0)).unwrap();
+        assert_eq!(quiet.syncs(), 0);
+        assert_eq!(quiet.committed_len(), quiet.len_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cut_to_committed_length_keeps_exactly_the_committed_records() {
+        let dir = tmpdir("cut");
+        let path = dir.join("journal.wal");
+        let (mut wal, _) = Wal::open(&path, true).unwrap();
+        wal.append_unsynced(job(1, 0.0)).unwrap();
+        wal.append_unsynced(job(2, 1.0)).unwrap();
+        wal.commit().unwrap();
+        let committed = wal.committed_len();
+        wal.append_unsynced(job(3, 2.0)).unwrap();
+        wal.append_unsynced(job(4, 3.0)).unwrap();
+        assert_eq!(wal.committed_len(), committed);
+        assert!(wal.len_bytes() > committed);
+        drop(wal);
+        // The worst a crash can do to an uncommitted batch: lose all of it.
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..committed as usize]).unwrap();
+        let (wal, rec) = Wal::open(&path, true).unwrap();
+        assert_eq!(rec.torn_bytes, 0);
+        assert!(rec.defect.is_none());
+        assert_eq!(
+            rec.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        assert_eq!(wal.next_seq(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,45 +14,55 @@
 //!   the file to the reported `valid_len` re-decodes with no defect and
 //!   the identical entries;
 //! * duplicated frames (what an interrupted truncation leaves behind) are
-//!   skipped by sequence number, not re-applied.
+//!   skipped by sequence number, not re-applied;
+//! * group commit changes no byte: `append_unsynced` + `commit` in any
+//!   batching writes the same journal as per-record `append`, and the
+//!   journal cut back to its last committed length (what a crash keeps of
+//!   an uncommitted batch at worst) decodes to exactly the committed
+//!   records.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use threesigma_cluster::wal::{decode_journal, encode_frame};
-use threesigma_cluster::{JobKind, JobSpec, WalEntry, WalRecord, WAL_MAGIC};
+use threesigma_cluster::{JobKind, JobSpec, Wal, WalEntry, WalRecord, WAL_MAGIC};
+
+/// The `i`-th sampled record: clock edges, best-effort and SLO jobs.
+fn record(i: usize, ids: &[u64], times: &[f64]) -> WalRecord {
+    match i % 3 {
+        0 => WalRecord::Clock { now: times[i] },
+        1 => WalRecord::Job(
+            JobSpec::new(
+                ids[i],
+                times[i],
+                1 + (ids[i] % 7) as u32,
+                10.0,
+                JobKind::BestEffort,
+            )
+            .with_attributes(
+                threesigma_cluster::Attributes::new().with("tenant", format!("t{}", ids[i] % 5)),
+            ),
+        ),
+        _ => WalRecord::Job(JobSpec::new(
+            ids[i],
+            times[i],
+            2,
+            30.0,
+            JobKind::Slo {
+                deadline: times[i] + 120.0,
+            },
+        )),
+    }
+}
 
 /// Builds a valid journal byte stream of `n` frames from flat samples.
 fn journal(n: usize, ids: &[u64], times: &[f64]) -> (Vec<u8>, Vec<WalEntry>) {
     let mut bytes = WAL_MAGIC.to_vec();
     let mut entries = Vec::new();
     for i in 0..n {
-        let record = match i % 3 {
-            0 => WalRecord::Clock { now: times[i] },
-            1 => WalRecord::Job(
-                JobSpec::new(
-                    ids[i],
-                    times[i],
-                    1 + (ids[i] % 7) as u32,
-                    10.0,
-                    JobKind::BestEffort,
-                )
-                .with_attributes(
-                    threesigma_cluster::Attributes::new()
-                        .with("tenant", format!("t{}", ids[i] % 5)),
-                ),
-            ),
-            _ => WalRecord::Job(JobSpec::new(
-                ids[i],
-                times[i],
-                2,
-                30.0,
-                JobKind::Slo {
-                    deadline: times[i] + 120.0,
-                },
-            )),
-        };
         let entry = WalEntry {
             seq: (i + 1) as u64,
-            record,
+            record: record(i, ids, times),
         };
         bytes.extend_from_slice(&encode_frame(&entry).expect("small frame encodes"));
         entries.push(entry);
@@ -74,7 +84,62 @@ fn assert_prefix_clean(bytes: &[u8]) {
     prop_assert_eq!(again.valid_len, first.valid_len);
 }
 
+/// A fresh, empty scratch directory unique to this process and call.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "threesigma_walprop_{}_{tag}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
 proptest! {
+    /// Group commit is invisible in the bytes: the same records appended
+    /// one durable `append` at a time, or `append_unsynced` with a commit
+    /// at arbitrary batch boundaries, give byte-identical journals. Cut
+    /// back to the last committed length, the batched journal decodes to
+    /// exactly the records of its committed batches.
+    #[test]
+    fn group_commit_is_byte_identical_and_cuts_to_the_committed_prefix(
+        n in 1usize..12,
+        ids in prop::collection::vec(1u64..1_000, 12),
+        times in prop::collection::vec(0.0f64..10_000.0, 12),
+        commit_after in prop::collection::vec(0u8..2, 12),
+    ) {
+        let dir = scratch_dir("group");
+        let single = dir.join("single.wal");
+        let grouped = dir.join("grouped.wal");
+        let (mut a, _) = Wal::open(&single, false).expect("open");
+        let (mut b, _) = Wal::open(&grouped, false).expect("open");
+        let mut committed = 0usize;
+        for (i, &commit) in commit_after.iter().enumerate().take(n) {
+            let seq_a = a.append(record(i, &ids, &times)).expect("append");
+            let seq_b = b.append_unsynced(record(i, &ids, &times)).expect("append");
+            prop_assert_eq!(seq_a, seq_b);
+            if commit == 1 {
+                b.commit().expect("commit");
+                committed = i + 1;
+            }
+            prop_assert_eq!(b.len_bytes(), a.len_bytes());
+        }
+        let cut_len = b.committed_len();
+        drop((a, b));
+        let bytes = std::fs::read(&grouped).expect("read");
+        prop_assert_eq!(&bytes, &std::fs::read(&single).expect("read"));
+
+        let cut = &bytes[..cut_len as usize];
+        let decode = decode_journal(cut);
+        prop_assert_eq!(decode.defect, None);
+        prop_assert_eq!(decode.valid_len, cut_len);
+        let (_, entries) = journal(committed, &ids, &times);
+        prop_assert_eq!(decode.entries, entries);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Totality on garbage: arbitrary bytes never panic the decoder, the
     /// valid prefix never exceeds the input, and the prefix property
     /// holds even for junk that happens to start with the magic.

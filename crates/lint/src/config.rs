@@ -174,6 +174,14 @@ pub const ACK_METHODS: &[&str] = &["accepted", "rejected"];
 /// The journal-append method that must dominate every acknowledgment.
 pub const JOURNAL_METHOD: &str = "append";
 
+/// The method that puts queued acknowledgments on the wire.
+pub const SEND_METHOD: &str = "send_batch";
+
+/// The journal-commit method that must dominate every [`SEND_METHOD`] call:
+/// queued acks leave only after the commit that makes their records
+/// durable.
+pub const COMMIT_METHOD: &str = "commit";
+
 /// Docs scanned by the metrics-consistency citation check (workspace-root
 /// relative). Missing files are skipped (synthetic fixture trees).
 pub const METRIC_DOC_FILES: &[&str] = &["DESIGN.md", "README.md"];

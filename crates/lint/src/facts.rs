@@ -8,7 +8,9 @@
 //! * **wal-ack-ordering** — in the serve front-end, any wire acknowledgment
 //!   must be dominated in-function by a journal `.append(..)` call
 //!   (journal-before-ack, DESIGN §11), with a `// lint: no-journal` escape
-//!   hatch for typed-rejection paths that admit nothing.
+//!   hatch for typed-rejection paths that admit nothing; and the call that
+//!   puts queued acknowledgments on the wire (`.send_batch(..)`) must be
+//!   dominated in-function by a journal `.commit(..)` (commit-before-ack).
 //! * **metrics-consistency** — every metric name is registered exactly
 //!   once, is `snake_case`, and every `sched_`/`serve_`/`wal_`/`predict_`
 //!   name cited in the docs exists in code.
@@ -159,7 +161,10 @@ pub fn snapshot_exhaustiveness(files: &[ParsedFile], pairs: &[SnapshotPair]) -> 
 
 /// Runs the wal-ack-ordering rule: in the ack file, every `.accepted(..)` /
 /// `.rejected(..)` call must be preceded (in the same fn body) by a journal
-/// `.append(..)` call, or carry a `// lint: no-journal` escape hatch.
+/// `.append(..)` call, or carry a `// lint: no-journal` escape hatch, and
+/// every `.send_batch(..)` call must be preceded by a `.commit(..)` call
+/// (no escape hatch: even a batch of rejections waits for the commit, so
+/// responses stay in line order).
 pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     let Some(file) = files
@@ -173,6 +178,7 @@ pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
         // special-casing needed.
         let toks = &f.body;
         let mut journal_seen = false;
+        let mut commit_seen = false;
         for i in 0..toks.len() {
             let (Some(Tok::Punct('.', _)), Some(Tok::Ident(m, span)), Some(open)) =
                 (toks.get(i), toks.get(i + 1), toks.get(i + 2))
@@ -184,6 +190,21 @@ pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
             }
             if m == config::JOURNAL_METHOD {
                 journal_seen = true;
+            } else if m == config::COMMIT_METHOD {
+                commit_seen = true;
+            } else if m == config::SEND_METHOD && !commit_seen {
+                out.push(Violation {
+                    rule: "wal-ack-ordering",
+                    file: file.rel.clone(),
+                    line: span.line,
+                    func: f.func.clone(),
+                    pattern: format!("{m}("),
+                    message: format!(
+                        "queued acknowledgments leave with `.{m}(..)` before a journal \
+                         `.commit(..)` in this fn; commit-before-ack (DESIGN §11): the batch's \
+                         records must be durable before any of its responses is sent"
+                    ),
+                });
             } else if config::ACK_METHODS.contains(&m.as_str())
                 && !journal_seen
                 && !file.is_no_journal(span.line)

@@ -75,7 +75,7 @@ fn clean_workspace_exits_zero() {
 
 #[test]
 fn each_bad_fixture_exits_nonzero() {
-    let cases: [(&str, &str, &str, &str); 9] = [
+    let cases: [(&str, &str, &str, &str); 10] = [
         (
             "hash-iter",
             include_str!("fixtures/hash_iter_bad.rs"),
@@ -123,6 +123,12 @@ fn each_bad_fixture_exits_nonzero() {
             include_str!("fixtures/wal_ack_bad.rs"),
             "crates/cli/src/serve.rs",
             "wal_ack",
+        ),
+        (
+            "wal-ack-ordering",
+            include_str!("fixtures/wal_commit_bad.rs"),
+            "crates/cli/src/serve.rs",
+            "wal_commit",
         ),
         (
             "metrics-consistency",

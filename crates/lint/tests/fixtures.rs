@@ -286,6 +286,25 @@ fn wal_ack_ordering_trips_on_bad_fixture_only() {
 }
 
 #[test]
+fn commit_before_send_trips_on_bad_fixture_only() {
+    let bad = vec![parse(
+        "crates/cli/src/serve.rs",
+        include_str!("fixtures/wal_commit_bad.rs"),
+    )];
+    let found = facts::wal_ack_ordering(&bad);
+    // The acks are journaled; only the send precedes the commit.
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, "wal-ack-ordering");
+    assert_eq!(found[0].pattern, "send_batch(");
+    assert_eq!(found[0].func, "end_batch");
+    let good = vec![parse(
+        "crates/cli/src/serve.rs",
+        include_str!("fixtures/wal_commit_good.rs"),
+    )];
+    assert!(facts::wal_ack_ordering(&good).is_empty());
+}
+
+#[test]
 fn metrics_consistency_trips_on_bad_fixture_only() {
     let bad = vec![parse(
         "crates/obs/src/fx.rs",
@@ -353,6 +372,29 @@ fn reordering_journal_append_after_ack_turns_the_real_tree_red() {
     assert_ne!(src, mutated, "mutation target must exist");
     let found = facts::wal_ack_ordering(&[parse(rel, &mutated)]);
     assert!(found.iter().any(|v| v.pattern == "accepted("), "{found:?}");
+}
+
+#[test]
+fn moving_the_send_above_the_commit_turns_the_real_tree_red() {
+    let rel = "crates/cli/src/serve.rs";
+    let src = read_workspace_file(rel);
+    assert!(facts::wal_ack_ordering(&[parse(rel, &src)]).is_empty());
+    // The regression shape: a batch's acks leave before the fsync that
+    // makes its records durable.
+    let committed_then_sent = "    if let Some(d) = durable {\n        d.commit()?;\n    }\n    \
+                               responder.send_batch();\n";
+    let sent_then_committed =
+        "    responder.send_batch();\n    if let Some(d) = durable {\n        \
+                               d.commit()?;\n    }\n";
+    let mutated = src.replace(committed_then_sent, sent_then_committed);
+    assert_ne!(src, mutated, "mutation target must exist");
+    let found = facts::wal_ack_ordering(&[parse(rel, &mutated)]);
+    assert!(
+        found
+            .iter()
+            .any(|v| v.pattern == "send_batch(" && v.func == "end_batch"),
+        "{found:?}"
+    );
 }
 
 #[test]

@@ -6,12 +6,15 @@
 //!    auto-snapshots in a scratch data directory), drained to quiescence.
 //! 2. **Victim** — the stream is cut at a seeded step index and the
 //!    session is dropped *without* a final snapshot or journal truncation
-//!    (the in-process equivalent of `kill -9` between two acks). A third
-//!    of the kill points additionally corrupt the journal tail — garbage
-//!    bytes or a half-written frame — to model a write torn by the crash
-//!    itself. A fresh process then recovers from the data directory,
-//!    replays the journal suffix, consumes the rest of the stream, and
-//!    finishes.
+//!    (the in-process equivalent of `kill -9`). Kill points cycle through
+//!    four modes: a clean cut between two acknowledged batches; the same
+//!    cut with garbage bytes or a half-written frame after the last good
+//!    frame (a write torn by the crash itself); and an *uncommitted batch
+//!    lost* — the victim appended its last batch but died before the
+//!    commit, and the journal is cut back to its last committed length (the
+//!    most a crash can take). A fresh process then recovers from the data
+//!    directory, replays the journal suffix, resends the stream from the
+//!    first unacknowledged step, and finishes.
 //!
 //! The campaign fails unless, at every kill point, the recovered run's
 //! [`ServeSummary`] (including its outcome digest) and its byte-stable
@@ -20,11 +23,12 @@
 //! straight-through run). Every other durability counter is lifetime-
 //! valued by construction and must survive the crash exactly.
 //!
-//! The driver mirrors the CLI serve loop's ordering contract:
-//! admit → pump → auto-snapshot (quiescent, *before* journaling the new
-//! record) → append+sync → apply → ack. Faults and the final clock edge
-//! are journaled the same way, so replay reconstructs the exact event
-//! history.
+//! The driver mirrors the CLI serve loop's ordering contract, one read
+//! batch of [`BATCH`] steps at a time: per step admit → pump →
+//! auto-snapshot (quiescent, *before* journaling the new record) → append
+//! (unsynced) → apply; then one commit for the batch, and only then the
+//! batch's acks. Faults and the final clock edge are journaled the same
+//! way, so replay reconstructs the exact event history.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -56,6 +60,8 @@ const BURST_GAP: f64 = 24.0;
 const IDLE_GAP: f64 = 900.0;
 /// Auto-snapshot threshold (journal records since the last snapshot).
 const SNAP_EVERY: u64 = 20;
+/// Steps per read batch: one journal commit, then one ack per step.
+const BATCH: usize = 5;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -88,12 +94,16 @@ enum Step {
 /// How the journal tail is mangled after the kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TailDamage {
-    /// Clean cut between two acks — journal ends on a frame boundary.
+    /// Clean cut between two acked batches — journal ends on a frame
+    /// boundary.
     None,
     /// Garbage bytes after the last good frame (a torn header).
     Garbage,
     /// A valid frame cut mid-payload (a torn in-progress append).
     HalfFrame,
+    /// The last batch was appended but never committed, and the journal
+    /// is cut back to its last committed length.
+    LostBatch,
 }
 
 impl TailDamage {
@@ -102,6 +112,7 @@ impl TailDamage {
             TailDamage::None => "clean",
             TailDamage::Garbage => "garbage-tail",
             TailDamage::HalfFrame => "half-frame",
+            TailDamage::LostBatch => "uncommitted-batch-lost",
         }
     }
 }
@@ -210,13 +221,21 @@ struct Driver {
 }
 
 impl Driver {
+    /// Journals one record without syncing it; [`Driver::commit`] makes it
+    /// durable.
     fn append(&mut self, record: WalRecord) -> Result<(), String> {
         self.wal
-            .append(record)
+            .append_unsynced(record)
             .map_err(|e| format!("journal append: {e}"))?;
         self.records_since_snap += 1;
         self.metrics.publish(&self.wal, self.truncated_total);
         Ok(())
+    }
+
+    fn commit(&mut self) -> Result<(), String> {
+        self.wal
+            .commit()
+            .map_err(|e| format!("journal commit: {e}"))
     }
 
     /// Snapshot-write-then-truncate, with the truncation counted at write
@@ -249,6 +268,25 @@ impl Driver {
             .map_err(|e| format!("truncate journal: {e}"))?;
         self.records_since_snap = 0;
         self.metrics.publish(&self.wal, self.truncated_total);
+        Ok(())
+    }
+
+    /// Feeds one read batch: every step through the ordering contract,
+    /// then one commit. With `commit` false the batch is left uncommitted
+    /// — the victim dies before its commit, so none of it was acked.
+    fn feed_batch(
+        &mut self,
+        batch: &[Step],
+        commit: bool,
+        session: &mut ServeSession,
+        sched: &mut ThreeSigmaScheduler,
+    ) -> Result<(), String> {
+        for step in batch {
+            self.feed(step, session, sched)?;
+        }
+        if commit {
+            self.commit()?;
+        }
         Ok(())
     }
 
@@ -296,6 +334,7 @@ impl Driver {
             .drain(f64::INFINITY, sched)
             .map_err(|e| format!("drain: {e}"))?;
         self.append(WalRecord::Clock { now: session.now() })?;
+        self.commit()?;
         self.take_snapshot(session, sched)
     }
 }
@@ -338,17 +377,23 @@ fn reference_run(dir: &Path, steps: &[Step]) -> Result<(ServeSummary, String), S
     let recorder = Recorder::enabled();
     let (mut session, mut sched) = build(&recorder);
     let mut driver = open_driver(dir, &recorder)?;
-    for step in steps {
-        driver.feed(step, &mut session, &mut sched)?;
+    for batch in steps.chunks(BATCH) {
+        driver.feed_batch(batch, true, &mut session, &mut sched)?;
     }
     finish_and_fingerprint(&mut driver, session, &mut sched, &recorder)
 }
 
-/// Applies the post-kill tail damage to the journal file.
-fn damage_tail(journal: &Path, damage: TailDamage) -> Result<(), String> {
+/// Applies the post-kill tail damage to the journal file;
+/// `committed_len` is the victim journal's last committed length.
+fn damage_tail(journal: &Path, damage: TailDamage, committed_len: u64) -> Result<(), String> {
     let mut bytes = std::fs::read(journal).map_err(|e| format!("read journal: {e}"))?;
     match damage {
         TailDamage::None => return Ok(()),
+        TailDamage::LostBatch => {
+            // The page cache never reached the disk: everything past the
+            // last commit is gone.
+            bytes.truncate(committed_len as usize);
+        }
         TailDamage::Garbage => bytes.extend_from_slice(&[0xFF, 0x03, 0x51, 0x64, 0xFF]),
         TailDamage::HalfFrame => {
             // A plausible in-progress append, cut mid-payload. Recovery
@@ -365,31 +410,55 @@ fn damage_tail(journal: &Path, damage: TailDamage) -> Result<(), String> {
     std::fs::write(journal, bytes).map_err(|e| format!("write torn journal: {e}"))
 }
 
-/// Kills the stream after `kill_at` acknowledged steps, damages the tail,
-/// recovers in a "fresh process", finishes the stream, and fingerprints.
+/// Kills the stream after `kill_at` fed steps, damages the tail, recovers
+/// in a "fresh process", resends from the first unacknowledged step,
+/// finishes the stream, and fingerprints. Also returns the step the
+/// stream resumed at.
 fn recovered_run(
     dir: &Path,
     steps: &[Step],
     kill_at: usize,
     damage: TailDamage,
-) -> Result<(ServeSummary, String), String> {
-    // Victim process: acks `kill_at` steps, then vanishes — no drain, no
-    // final snapshot, no truncation.
-    {
+) -> Result<(ServeSummary, String, usize), String> {
+    // Victim process: feeds `kill_at` steps in batches, then vanishes — no
+    // drain, no final snapshot, no truncation. Its last batch is committed
+    // (and acked) unless the kill lands before that commit.
+    let batches: Vec<&[Step]> = steps[..kill_at].chunks(BATCH).collect();
+    let lose_last = damage == TailDamage::LostBatch;
+    let acked = match batches.last() {
+        Some(last) if lose_last => kill_at - last.len(),
+        _ => kill_at,
+    };
+    let committed_len = {
         let recorder = Recorder::enabled();
         let (mut session, mut sched) = build(&recorder);
         let mut driver = open_driver(dir, &recorder)?;
-        for step in &steps[..kill_at] {
-            driver.feed(step, &mut session, &mut sched)?;
+        for (i, batch) in batches.iter().enumerate() {
+            let commit = !(lose_last && i + 1 == batches.len());
+            driver.feed_batch(batch, commit, &mut session, &mut sched)?;
         }
-    }
+        driver.wal.committed_len()
+    };
     let data = DataDir::open(dir).map_err(|e| format!("open data dir: {e}"))?;
-    damage_tail(&data.journal_path(), damage)?;
+    damage_tail(&data.journal_path(), damage, committed_len)?;
 
     // Fresh process: recover, replay, resume.
     let recovered = recover_data_dir(&data, false).map_err(|e| format!("recover: {e}"))?;
-    if damage != TailDamage::None && recovered.torn_bytes == 0 {
+    let torn_damage = matches!(damage, TailDamage::Garbage | TailDamage::HalfFrame);
+    if torn_damage && recovered.torn_bytes == 0 {
         return Err("tail damage was not detected as torn bytes".into());
+    }
+    // Every step appends exactly one record, so the next sequence number
+    // (continued past any snapshot watermark) counts the steps that
+    // survived the crash.
+    let durable = (recovered.wal.next_seq() - 1) as usize;
+    if durable < acked || durable > kill_at {
+        return Err(format!(
+            "{durable} steps survived, but {acked} were acknowledged and {kill_at} fed"
+        ));
+    }
+    if lose_last && durable == kill_at {
+        return Err("the uncommitted batch left nothing to lose".into());
     }
     let recorder = Recorder::enabled();
     let (mut session, mut sched) = build(&recorder);
@@ -432,22 +501,26 @@ fn recovered_run(
     driver.metrics.publish(&driver.wal, driver.truncated_total);
 
     // No acknowledged step may be lost: state must equal exactly the
-    // pre-kill prefix, so the resume point is the kill offset itself.
-    let acked_jobs = steps[..kill_at]
+    // surviving prefix, which holds every acknowledged step.
+    let durable_jobs = steps[..durable]
         .iter()
         .filter(|s| matches!(s, Step::Job(_)))
         .count() as u64;
-    if session.summary().submitted != acked_jobs {
+    if session.summary().submitted != durable_jobs {
         return Err(format!(
-            "recovered {} submitted jobs, but {} were acknowledged before the kill",
+            "recovered {} submitted jobs, but the {durable} surviving steps hold {durable_jobs}",
             session.summary().submitted,
-            acked_jobs
         ));
     }
-    for step in &steps[kill_at..] {
-        driver.feed(step, &mut session, &mut sched)?;
+    // Resend from the first unacknowledged step. Unacked steps that
+    // survived anyway (journaled, or folded into a snapshot, before the
+    // kill) are already in the state — the wire answers a resent live job
+    // with a `duplicate` rejection — so the stream picks up after them.
+    for batch in steps[durable..].chunks(BATCH) {
+        driver.feed_batch(batch, true, &mut session, &mut sched)?;
     }
-    finish_and_fingerprint(&mut driver, session, &mut sched, &recorder)
+    let (summary, metrics) = finish_and_fingerprint(&mut driver, session, &mut sched, &recorder)?;
+    Ok((summary, metrics, durable))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -485,10 +558,11 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
     );
     for point in 0..cfg.kill_points {
         let kill_at = 1 + (rng.random::<u64>() as usize) % (steps.len() - 1);
-        let damage = match point % 3 {
+        let damage = match point % 4 {
             0 => TailDamage::None,
             1 => TailDamage::Garbage,
-            _ => TailDamage::HalfFrame,
+            2 => TailDamage::HalfFrame,
+            _ => TailDamage::LostBatch,
         };
         let ctx = format!(
             "kill point {point}: offset={kill_at}/{} damage={} (seed {})",
@@ -499,7 +573,7 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
         let dir = scratch_dir(&format!("{:x}_k{point}", cfg.seed));
         let run = recovered_run(&dir, &steps, kill_at, damage);
         let _ = std::fs::remove_dir_all(&dir);
-        let (summary, metrics) = run.map_err(|e| format!("{ctx}: {e}"))?;
+        let (summary, metrics, resumed) = run.map_err(|e| format!("{ctx}: {e}"))?;
         if summary != ref_summary {
             return Err(format!(
                 "{ctx}: recovered summary diverged\nreference: {ref_summary:?}\nrecovered: {summary:?}"
@@ -511,7 +585,9 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
                 "{ctx}: recovered metrics diverged\nfirst differing line:\n{diff}"
             ));
         }
-        report.push_str(&format!("  {ctx}: equivalent\n"));
+        report.push_str(&format!(
+            "  {ctx}: equivalent (resumed at step {resumed})\n"
+        ));
     }
     report.push_str("all kill points recovered to digest-identical state\n");
     Ok(report)
@@ -534,17 +610,18 @@ fn first_diff(a: &str, b: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Always-on campaign: small stream, three kill points covering all
-    /// three tail-damage modes.
+    /// Always-on campaign: small stream, four kill points covering all
+    /// four kill modes, the lost uncommitted batch included.
     #[test]
     fn crash_recovery_is_equivalent_small() {
         let cfg = CrashConfig {
             total_jobs: 96,
-            kill_points: 3,
+            kill_points: 4,
             seed: 0x0035_160b_ad01,
         };
         let report = run_crash_campaign(&cfg).expect("campaign passes");
         assert!(report.contains("all kill points recovered"), "{report}");
+        assert!(report.contains("damage=uncommitted-batch-lost"), "{report}");
     }
 
     /// Full campaign (release only): 20+ seeded kill points across a
